@@ -280,14 +280,6 @@ class Lab:
         finally:
             _CURRENT_EXPERIMENT.reset(token)
 
-    def begin_experiment(self, name: Optional[str]) -> None:
-        """Label subsequent checkpoint records with the running experiment.
-
-        Imperative variant of :meth:`experiment` for call sites without a
-        natural ``with`` block; the label is still context-local.
-        """
-        _CURRENT_EXPERIMENT.set(name)
-
     @staticmethod
     def current_experiment() -> Optional[str]:
         """The experiment label active in this context (or ``None``)."""

@@ -1,12 +1,13 @@
-"""Vectorized scoring: kernel predictions → the scalar loop's outputs.
+"""Vectorized scoring: per-branch predictions → a simulation's outputs.
 
-:func:`score_with_kernel` reproduces, without per-branch Python, everything
-the scalar ``simulate_trace`` loop accumulates: aggregate and per-slice
-:class:`~repro.core.metrics.BranchStats` (including the scalar loop's
-insertion order, so downstream float reductions see the same operand
-order), warmup exclusion, empty-slice emission at boundary crossings, and
-the recorded mispredict positions.  The equivalence suite in
-``tests/pipeline/test_kernels.py`` holds the two paths bit-identical.
+:func:`score_predictions` computes, without per-branch Python, everything a
+per-branch driver would accumulate by calling ``BranchStats.record`` once
+per scored conditional branch: aggregate and per-slice
+:class:`~repro.core.metrics.BranchStats` (including that insertion order,
+so downstream float reductions see the same operand order), warmup
+exclusion, empty-slice emission at boundary crossings, and the recorded
+mispredict positions.  Every ``simulate_trace`` path scores through it;
+``tests/pipeline/test_scoring.py`` holds it to such a per-branch reference.
 
 Scoring splits into a *plan* — every grouping that depends only on
 ``(trace, warmup, slice length)``: unique IPs, execution counts, stats
@@ -190,20 +191,22 @@ def score_with_kernel(
     nearly free here, since the wrongness mask already exists — without
     changing the scored result.
     """
-    ips_c, taken_c, _ = trace.conditional_columns()
-    preds = (
-        kernel(ips_c, taken_c, trace)
-        if getattr(kernel, "wants_trace", False)
-        else kernel(ips_c, taken_c)
-    )
     return score_predictions(
         trace,
-        preds,
+        run_kernel(trace, kernel),
         slice_instructions=slice_instructions,
         record_mispredict_positions=record_mispredict_positions,
         warmup_branches=warmup_branches,
         collect_introspection=collect_introspection,
     )
+
+
+def run_kernel(trace: BranchTrace, kernel: TraceKernel) -> np.ndarray:
+    """``kernel``'s predictions for the conditional branches of ``trace``."""
+    ips_c, taken_c, _ = trace.conditional_columns()
+    if getattr(kernel, "wants_trace", False):
+        return kernel(ips_c, taken_c, trace)
+    return kernel(ips_c, taken_c)
 
 
 def score_predictions(
@@ -216,9 +219,10 @@ def score_predictions(
 ) -> VectorizedScore:
     """Score a ready-made vector of per-conditional-branch predictions.
 
-    The predictor-independent half of :func:`score_with_kernel`, shared
-    with the batched multi-config replay (``repro.kernels.batched``) whose
-    one pass over the trace produces a prediction vector per preset.
+    The predictor-independent half of :func:`score_with_kernel`, and the
+    one scorer behind every ``simulate_trace`` path: the numpy kernels, the
+    batched multi-config replay (``repro.kernels.batched``) and the scalar
+    loop all hand it one prediction vector per predictor.
     """
     if slice_instructions is not None and slice_instructions <= 0:
         raise ValueError("slice_instructions must be positive")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +21,19 @@ from repro import obs
 from repro.core.metrics import BranchStats
 from repro.core.types import BranchKind, BranchTrace
 from repro.kernels import kernels_enabled
-from repro.kernels.engine import TraceKernel, score_predictions, score_with_kernel
+from repro.kernels.engine import run_kernel, score_predictions, score_with_kernel
 from repro.obs import introspect
 from repro.predictors.base import BranchPredictor
+
+# The scorers stay importable from here: ``perfbench/tracing.py`` times the
+# scoring layer by wrapping these names.
+__all__ = [
+    "SimulationResult",
+    "score_predictions",
+    "score_with_kernel",
+    "simulate_trace",
+    "simulate_trace_batch",
+]
 
 _COND = int(BranchKind.CONDITIONAL)
 # Enum construction is surprisingly costly in the hot loop; index instead.
@@ -76,41 +86,34 @@ def simulate_trace(
     The predictor is *not* reset; callers own lifecycle (this allows
     deliberate cross-slice training, as on real hardware).
 
-    When the predictor advertises a :meth:`~repro.predictors.base.
-    BranchPredictor.vectorized_kernel` (and ``REPRO_KERNELS`` is not
-    disabled), the trace is scored through the numpy kernel path instead of
-    the per-branch loop.  A :func:`~repro.kernels.batched.batchable`
-    predictor (TAGE / TAGE-SC-L) without a kernel dispatches through the
-    multi-config replay engine as a batch of one, reusing the trace's
-    memoized feature streams.  Results are bit-identical on every path.
+    Every path only produces predictions, one per conditional branch:
+    the predictor's :meth:`~repro.predictors.base.BranchPredictor.
+    vectorized_kernel` when it has one (and ``REPRO_KERNELS`` is not
+    disabled); the multi-config replay engine, as a batch of one, for a
+    :func:`~repro.kernels.batched.batchable` predictor (TAGE / TAGE-SC-L),
+    reusing the trace's memoized feature streams; otherwise the per-branch
+    loop.  :func:`score_predictions` then scores them the same way for all
+    three, so results are bit-identical on every path.
     """
     if slice_instructions is not None and slice_instructions <= 0:
         raise ValueError("slice_instructions must be positive")
-
-    # One introspection check per call: the disabled hot loops below stay
-    # exactly as they are; enabling routes through dedicated paths that
-    # observe without changing any simulated outcome.
     introspecting = introspect.is_enabled()
 
     if kernels_enabled():
         kernel = predictor.vectorized_kernel()
         if kernel is not None:
-            return _simulate_with_kernel(
-                trace,
-                predictor,
-                kernel,
-                slice_instructions,
-                record_mispredict_positions,
-                warmup_branches,
-                introspecting,
-            )
+            t_start = perf_counter()
+            preds = run_kernel(trace, kernel)
+            return _finish(
+                trace, [predictor], [preds], [None], "kernel", t_start,
+                introspecting=introspecting,
+                slice_instructions=slice_instructions,
+                record_mispredict_positions=record_mispredict_positions,
+                warmup_branches=warmup_branches,
+            )[0]
         from repro.kernels.batched import batchable
 
         if batchable(predictor):
-            # Batch of one: same replay engine as the fig. 7/8 sweeps; the
-            # precomputed feature streams are shared through the trace's
-            # plan cache, so single-config TAGE-SC-L runs (table1, fig1,
-            # h2p, introspect) skip the scalar loop entirely.
             return simulate_trace_batch(
                 trace,
                 [predictor],
@@ -118,330 +121,56 @@ def simulate_trace(
                 record_mispredict_positions=record_mispredict_positions,
                 warmup_branches=warmup_branches,
             )[0]
-    if introspecting:
-        return _simulate_scalar_introspect(
-            trace,
-            predictor,
-            slice_instructions,
-            record_mispredict_positions,
-            warmup_branches,
-        )
 
-    stats = BranchStats()
-    slice_list: Optional[List[BranchStats]] = None
-    cur_slice: Optional[BranchStats] = None
-    next_boundary = None
-    if slice_instructions is not None:
-        slice_list = []
-        cur_slice = BranchStats()
-        next_boundary = slice_instructions
-
-    mis_positions: Optional[List[int]] = [] if record_mispredict_positions else None
-
-    # Observability: one enabled-check up front; per-branch work stays
-    # uninstrumented (counters are published in bulk after the loop) and the
-    # slice-boundary heartbeat only fires on the already-rare boundary path.
-    heartbeat = _log.isEnabledFor(logging.INFO) and slice_instructions is not None
     t_start = perf_counter()
-
-    # Decoded once per trace (and memoized on it): list indexing beats
-    # ndarray indexing in the loop, and ``taken`` arrives as Python bools.
-    ips, taken_arr, targets, kinds, instr_idx = trace.columns_as_lists()
-
-    set_outcome = getattr(predictor, "set_outcome", None)
-    predict = predictor.predict
-    update = predictor.update
-    note = predictor.note_branch
-    stats_record = stats.record
-    cur_slice_record = cur_slice.record if cur_slice is not None else None
-    # An infinite boundary keeps the per-branch test a plain comparison when
-    # slicing is off (the while body is unreachable then).
-    boundary = next_boundary if next_boundary is not None else float("inf")
-    seen_cond = 0
-
-    # The loop body exists twice, specialized on whether the predictor wants
-    # the resolved outcome before predict() (only the oracle family does);
-    # the common case pays no per-branch set_outcome check.  Keep the two
-    # bodies in sync.
-    if set_outcome is None:
-        for i in range(len(ips)):
-            kind = kinds[i]
-            ip = ips[i]
-            taken = taken_arr[i]
-            pos = instr_idx[i]
-
-            while pos >= boundary:
-                if heartbeat:
-                    _log.info(
-                        "%s: slice %d done (%d instructions, %d branches, "
-                        "acc so far %.4f)",
-                        predictor.name,
-                        len(slice_list),
-                        boundary,
-                        i,
-                        stats.accuracy,
-                    )
-                slice_list.append(cur_slice)
-                cur_slice = BranchStats()
-                cur_slice_record = cur_slice.record
-                boundary += slice_instructions
-
-            if kind != _COND:
-                note(ip, targets[i], _KINDS[kind], taken)
-                continue
-
-            pred = predict(ip)
-            update(ip, taken)
-            seen_cond += 1
-            if seen_cond <= warmup_branches:
-                continue
-            correct = pred == taken
-            stats_record(ip, correct)
-            if cur_slice_record is not None:
-                cur_slice_record(ip, correct)
-            if not correct and mis_positions is not None:
-                mis_positions.append(pos)
-    else:
-        for i in range(len(ips)):
-            kind = kinds[i]
-            ip = ips[i]
-            taken = taken_arr[i]
-            pos = instr_idx[i]
-
-            while pos >= boundary:
-                if heartbeat:
-                    _log.info(
-                        "%s: slice %d done (%d instructions, %d branches, "
-                        "acc so far %.4f)",
-                        predictor.name,
-                        len(slice_list),
-                        boundary,
-                        i,
-                        stats.accuracy,
-                    )
-                slice_list.append(cur_slice)
-                cur_slice = BranchStats()
-                cur_slice_record = cur_slice.record
-                boundary += slice_instructions
-
-            if kind != _COND:
-                note(ip, targets[i], _KINDS[kind], taken)
-                continue
-
-            set_outcome(taken)
-            pred = predict(ip)
-            update(ip, taken)
-            seen_cond += 1
-            if seen_cond <= warmup_branches:
-                continue
-            correct = pred == taken
-            stats_record(ip, correct)
-            if cur_slice_record is not None:
-                cur_slice_record(ip, correct)
-            if not correct and mis_positions is not None:
-                mis_positions.append(pos)
-
-    if slice_list is not None and (len(cur_slice) or not slice_list):
-        slice_list.append(cur_slice)
-
-    elapsed = perf_counter() - t_start
-    if obs.is_enabled():
-        obs.observe_timer("sim.trace", elapsed)
-        obs.observe_timer(f"sim.predictor.{predictor.name}", elapsed)
-        obs.counter("sim.branches", len(ips))
-        obs.counter("sim.cond_branches", seen_cond)
-        obs.counter("sim.instructions", trace.instr_count)
-        obs.counter("sim.mispredictions", stats.total_mispredictions)
-        obs.counter("kernels.fallback_scalar", seen_cond)
-        obs.counter(f"kernels.fallback_scalar.{predictor.name}", seen_cond)
-        if elapsed > 0:
-            obs.gauge("sim.branches_per_sec", len(ips) / elapsed)
-        publish = getattr(predictor, "publish_obs_counters", None)
-        if publish is not None:
-            publish()
-    if _log.isEnabledFor(logging.INFO):
-        _log.info(
-            "%s: %d branches in %s (%s), accuracy %.4f, mpki %.2f",
-            predictor.name,
-            len(ips),
-            obs.format_duration(elapsed),
-            obs.format_rate(len(ips), elapsed, "/s"),
-            stats.accuracy,
-            stats.mpki(trace.instr_count),
-        )
-
-    return SimulationResult(
-        predictor_name=predictor.name,
-        stats=stats,
-        instr_count=trace.instr_count,
-        slice_stats=slice_list,
-        mispredict_positions=(
-            np.asarray(mis_positions, dtype=np.int64) if mis_positions is not None else None
-        ),
-    )
-
-
-def _simulate_scalar_introspect(
-    trace: BranchTrace,
-    predictor: BranchPredictor,
-    slice_instructions: Optional[int],
-    record_mispredict_positions: bool,
-    warmup_branches: int,
-) -> SimulationResult:
-    """Scalar loop with per-branch introspection recording.
-
-    A separate (generic, unspecialized) loop so the normal scalar paths pay
-    nothing for introspection.  Every accumulation feeding the returned
-    :class:`SimulationResult` matches the plain loops exactly — the channel
-    only *observes* — so results stay bit-identical with telemetry on.
-    """
-    stats = BranchStats()
-    slice_list: Optional[List[BranchStats]] = None
-    cur_slice: Optional[BranchStats] = None
-    if slice_instructions is not None:
-        slice_list = []
-        cur_slice = BranchStats()
-    mis_positions: Optional[List[int]] = [] if record_mispredict_positions else None
-
-    chan = introspect.begin(predictor.name, slice_instructions, path="scalar")
-    t_start = perf_counter()
-
-    ips, taken_arr, targets, kinds, instr_idx = trace.columns_as_lists()
-
-    set_outcome = getattr(predictor, "set_outcome", None)
-    introspect_last = getattr(predictor, "introspect_last", None)
-    predict = predictor.predict
-    update = predictor.update
-    note = predictor.note_branch
-    stats_record = stats.record
-    cur_slice_record = cur_slice.record if cur_slice is not None else None
-    record = chan.record
-    boundary = slice_instructions if slice_instructions is not None else float("inf")
-    seen_cond = 0
-
-    for i in range(len(ips)):
-        kind = kinds[i]
-        ip = ips[i]
-        taken = taken_arr[i]
-        pos = instr_idx[i]
-
-        while pos >= boundary:
-            slice_list.append(cur_slice)
-            cur_slice = BranchStats()
-            cur_slice_record = cur_slice.record
-            boundary += slice_instructions
-
-        if kind != _COND:
-            note(ip, targets[i], _KINDS[kind], taken)
-            continue
-
-        if set_outcome is not None:
-            set_outcome(taken)
-        pred = predict(ip)
-        attr = introspect_last() if introspect_last is not None else None
-        update(ip, taken)
-        seen_cond += 1
-        if seen_cond <= warmup_branches:
-            continue
-        correct = pred == taken
-        stats_record(ip, correct)
-        if cur_slice_record is not None:
-            cur_slice_record(ip, correct)
-        if not correct and mis_positions is not None:
-            mis_positions.append(pos)
-        record(ip, pos, correct, attr)
-
-    if slice_list is not None and (len(cur_slice) or not slice_list):
-        slice_list.append(cur_slice)
-
-    elapsed = perf_counter() - t_start
-    chan.finish(predictor)
-    if obs.is_enabled():
-        obs.observe_timer("sim.trace", elapsed)
-        obs.observe_timer(f"sim.predictor.{predictor.name}", elapsed)
-        obs.counter("sim.branches", len(ips))
-        obs.counter("sim.cond_branches", seen_cond)
-        obs.counter("sim.instructions", trace.instr_count)
-        obs.counter("sim.mispredictions", stats.total_mispredictions)
-        obs.counter("kernels.fallback_scalar", seen_cond)
-        obs.counter(f"kernels.fallback_scalar.{predictor.name}", seen_cond)
-        if elapsed > 0:
-            obs.gauge("sim.branches_per_sec", len(ips) / elapsed)
-        publish = getattr(predictor, "publish_obs_counters", None)
-        if publish is not None:
-            publish()
-
-    return SimulationResult(
-        predictor_name=predictor.name,
-        stats=stats,
-        instr_count=trace.instr_count,
-        slice_stats=slice_list,
-        mispredict_positions=(
-            np.asarray(mis_positions, dtype=np.int64) if mis_positions is not None else None
-        ),
-    )
-
-
-def _simulate_with_kernel(
-    trace: BranchTrace,
-    predictor: BranchPredictor,
-    kernel: TraceKernel,
-    slice_instructions: Optional[int],
-    record_mispredict_positions: bool,
-    warmup_branches: int,
-    introspecting: bool = False,
-) -> SimulationResult:
-    """Score ``predictor``'s vectorized kernel over ``trace``.
-
-    Publishes the same observability surface as the scalar loop (plus the
-    ``kernels.branches`` counter) and returns a bit-identical result.
-    """
-    t_start = perf_counter()
-    score = score_with_kernel(
-        trace,
-        kernel,
+    preds, attrs = _predict_scalar(trace, predictor, introspecting)
+    return _finish(
+        trace, [predictor], [preds], [attrs], "scalar", t_start,
+        introspecting=introspecting,
         slice_instructions=slice_instructions,
         record_mispredict_positions=record_mispredict_positions,
         warmup_branches=warmup_branches,
-        collect_introspection=introspecting,
-    )
-    elapsed = perf_counter() - t_start
-    if introspecting:
-        chan = introspect.begin(predictor.name, slice_instructions, path="kernel")
-        chan.record_kernel(score.stats, score.intro_mis_ips, score.intro_mis_pos)
-        chan.finish(predictor)
+    )[0]
 
-    if obs.is_enabled():
-        obs.observe_timer("sim.trace", elapsed)
-        obs.observe_timer(f"sim.predictor.{predictor.name}", elapsed)
-        obs.counter("sim.branches", len(trace))
-        obs.counter("sim.cond_branches", score.cond_branches)
-        obs.counter("sim.instructions", trace.instr_count)
-        obs.counter("sim.mispredictions", score.stats.total_mispredictions)
-        obs.counter("kernels.branches", score.cond_branches)
-        if elapsed > 0:
-            obs.gauge("sim.branches_per_sec", len(trace) / elapsed)
-        publish = getattr(predictor, "publish_obs_counters", None)
-        if publish is not None:
-            publish()
-    if _log.isEnabledFor(logging.INFO):
-        _log.info(
-            "%s: %d branches in %s (%s, vectorized), accuracy %.4f, mpki %.2f",
-            predictor.name,
-            len(trace),
-            obs.format_duration(elapsed),
-            obs.format_rate(len(trace), elapsed, "/s"),
-            score.stats.accuracy,
-            score.stats.mpki(trace.instr_count),
-        )
 
-    return SimulationResult(
-        predictor_name=predictor.name,
-        stats=score.stats,
-        instr_count=trace.instr_count,
-        slice_stats=score.slice_stats,
-        mispredict_positions=score.mispredict_positions,
+def _predict_scalar(
+    trace: BranchTrace, predictor: BranchPredictor, introspecting: bool
+) -> Tuple[np.ndarray, Optional[List[Any]]]:
+    """Drive ``predictor`` branch by branch; collect its predictions.
+
+    Returns one prediction per conditional branch and, when introspecting a
+    predictor with an ``introspect_last()`` hook, its attribution tuple
+    per conditional branch (else ``None``).  Unconditional records only
+    reach ``note_branch``; the oracle family gets the resolved outcome
+    through ``set_outcome`` before ``predict``.
+    """
+    # Decoded once per trace (and memoized on it): list iteration beats
+    # ndarray indexing, and ``taken`` arrives as Python bools.
+    ips, taken_arr, targets, kinds, _ = trace.columns_as_lists()
+
+    set_outcome = getattr(predictor, "set_outcome", None)
+    introspect_last = (
+        getattr(predictor, "introspect_last", None) if introspecting else None
     )
+    predict = predictor.predict
+    update = predictor.update
+    note = predictor.note_branch
+    preds: List[bool] = []
+    append = preds.append
+    attrs: Optional[List[Any]] = [] if introspect_last is not None else None
+
+    for ip, taken, target, kind in zip(ips, taken_arr, targets, kinds):
+        if kind != _COND:
+            note(ip, target, _KINDS[kind], taken)
+            continue
+        if set_outcome is not None:
+            set_outcome(taken)
+        append(predict(ip))
+        if attrs is not None:
+            attrs.append(introspect_last())
+        update(ip, taken)
+
+    return np.array(preds, dtype=bool), attrs
 
 
 def simulate_trace_batch(
@@ -483,73 +212,117 @@ def simulate_trace_batch(
     replays = replay_tagescl_batch(
         trace, predictors, collect_introspection=introspecting
     )
-    results: List[SimulationResult] = []
-    for predictor, rep in zip(predictors, replays):
-        score = score_predictions(
+    return _finish(
+        trace,
+        predictors,
+        [rep.preds for rep in replays],
+        [rep.attrs for rep in replays],
+        "batched",
+        t_start,
+        introspecting=introspecting,
+        slice_instructions=slice_instructions,
+        record_mispredict_positions=record_mispredict_positions,
+        warmup_branches=warmup_branches,
+    )
+
+
+def _finish(
+    trace: BranchTrace,
+    predictors: Sequence[BranchPredictor],
+    preds: Sequence[np.ndarray],
+    attrs: Sequence[Optional[List[Any]]],
+    path: str,
+    t_start: float,
+    *,
+    introspecting: bool,
+    slice_instructions: Optional[int],
+    record_mispredict_positions: bool,
+    warmup_branches: int,
+) -> List[SimulationResult]:
+    """Score, introspect and publish one simulation call, whatever its path.
+
+    ``preds[k]`` holds ``predictors[k]``'s prediction for every conditional
+    branch of ``trace``; ``attrs[k]`` the matching ``introspect_last()``
+    tuples, or ``None`` when they were not collected.  ``path`` ("scalar", "kernel" or
+    "batched") labels introspection reports and picks the path counters.
+    """
+    scores = [
+        score_predictions(
             trace,
-            rep.preds,
+            p,
             slice_instructions=slice_instructions,
             record_mispredict_positions=record_mispredict_positions,
             warmup_branches=warmup_branches,
+            collect_introspection=introspecting,
         )
-        results.append(
-            SimulationResult(
-                predictor_name=predictor.name,
-                stats=score.stats,
-                instr_count=trace.instr_count,
-                slice_stats=score.slice_stats,
-                mispredict_positions=score.mispredict_positions,
-            )
-        )
+        for p in preds
+    ]
     elapsed = perf_counter() - t_start
+    results = [
+        SimulationResult(
+            predictor_name=predictor.name,
+            stats=score.stats,
+            instr_count=trace.instr_count,
+            slice_stats=score.slice_stats,
+            mispredict_positions=score.mispredict_positions,
+        )
+        for predictor, score in zip(predictors, scores)
+    ]
 
     if introspecting:
-        # Mirror the scalar loop's per-branch attribution recording; the
-        # replay collected the ``introspect_last`` tuples in stream order.
         ips_c, taken_c, pos_c = trace.conditional_columns()
         w = max(0, warmup_branches)
-        ips_lw = ips_c[w:].tolist()
-        pos_lw = pos_c[w:].tolist()
-        for predictor, rep in zip(predictors, replays):
-            chan = introspect.begin(
-                predictor.name, slice_instructions, path="batched"
-            )
-            record = chan.record
-            correct_lw = (rep.preds[w:] == taken_c[w:]).tolist()
-            for ip, pos, correct, attr in zip(
-                ips_lw, pos_lw, correct_lw, rep.attrs[w:]
-            ):
-                record(ip, pos, correct, attr)
+        for predictor, p, score, a in zip(predictors, preds, scores, attrs):
+            chan = introspect.begin(predictor.name, slice_instructions, path=path)
+            if a is None:
+                chan.record_kernel(score.stats, score.intro_mis_ips, score.intro_mis_pos)
+            else:
+                # Per-branch recording keeps the attribution tuples.
+                correct = (p[w:] == taken_c[w:]).tolist()
+                record = chan.record
+                for ip, pos, ok, attr in zip(
+                    ips_c[w:].tolist(), pos_c[w:].tolist(), correct, a[w:]
+                ):
+                    record(ip, pos, ok, attr)
             chan.finish(predictor)
 
+    n = len(trace)
     if obs.is_enabled():
         obs.observe_timer("sim.trace", elapsed)
-        per_pred = elapsed / len(predictors)
-        for predictor, res in zip(predictors, results):
-            obs.observe_timer(f"sim.predictor.{predictor.name}", per_pred)
-            cond = int(len(trace.conditional_columns()[0]))
-            obs.counter("sim.branches", len(trace))
+        if len(predictors) == 1:
+            # A member of a multi-config replay has no time of its own.
+            obs.observe_timer(f"sim.predictor.{predictors[0].name}", elapsed)
+        for predictor, score in zip(predictors, scores):
+            cond = score.cond_branches
+            obs.counter("sim.branches", n)
             obs.counter("sim.cond_branches", cond)
             obs.counter("sim.instructions", trace.instr_count)
-            obs.counter("sim.mispredictions", res.stats.total_mispredictions)
-            obs.counter("kernels.branches", cond)
-            obs.counter("kernels.batched", cond)
+            obs.counter("sim.mispredictions", score.stats.total_mispredictions)
+            if path == "scalar":
+                obs.counter("kernels.fallback_scalar", cond)
+                obs.counter(f"kernels.fallback_scalar.{predictor.name}", cond)
+            else:
+                obs.counter("kernels.branches", cond)
+                if path == "batched":
+                    obs.counter("kernels.batched", cond)
             publish = getattr(predictor, "publish_obs_counters", None)
             if publish is not None:
                 publish()
         if elapsed > 0:
-            obs.gauge(
-                "sim.branches_per_sec", len(trace) * len(predictors) / elapsed
-            )
+            obs.gauge("sim.branches_per_sec", n * len(predictors) / elapsed)
     if _log.isEnabledFor(logging.INFO):
+        first = results[0]
         _log.info(
-            "batched %d presets: %d branches in %s (%s), first %s acc %.4f",
-            len(predictors),
-            len(trace),
+            "%s (%s path, %d config%s): %d branches in %s (%s), "
+            "accuracy %.4f, mpki %.2f",
+            first.predictor_name,
+            path,
+            len(results),
+            "" if len(results) == 1 else "s",
+            n,
             obs.format_duration(elapsed),
-            obs.format_rate(len(trace) * len(predictors), elapsed, "/s"),
-            results[0].predictor_name,
-            results[0].stats.accuracy,
+            obs.format_rate(n * len(results), elapsed, "/s"),
+            first.accuracy,
+            first.mpki,
         )
-
     return results

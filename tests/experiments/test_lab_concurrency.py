@@ -178,13 +178,6 @@ class TestExperimentLabels:
         assert seen == {"a": "a", "b": "b"}
         assert Lab.current_experiment() is None
 
-    def test_begin_experiment_still_labels(self):
-        lab = Lab(tier=TIER, jobs=1)
-        lab.begin_experiment("imperative")
-        assert Lab.current_experiment() == "imperative"
-        lab.begin_experiment(None)
-        assert Lab.current_experiment() is None
-
     def test_nested_blocks_restore(self):
         lab = Lab(tier=TIER, jobs=1)
         with lab.experiment("outer"):
