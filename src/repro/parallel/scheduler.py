@@ -269,6 +269,9 @@ class ParallelScheduler:
         submit_t: Dict[Future, float] = {}
         for i, job in enumerate(jobs):
             fault = faults.next_worker_fault()
+            # Stamped before submit(): a worker can pick the job up before
+            # submit() returns, which would make its queue wait negative.
+            t_submit = monotonic()
             try:
                 fut = pool.submit(run_sim_job, job, fault)
             except (BrokenProcessPool, RuntimeError):
@@ -278,7 +281,7 @@ class ParallelScheduler:
                 outcome.retry.extend(jobs[i:])
                 break
             futures[fut] = job
-            submit_t[fut] = monotonic()
+            submit_t[fut] = t_submit
         pending = set(futures)
         while pending:
             timeout = self._next_timeout(pending, submit_t)

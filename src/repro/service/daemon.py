@@ -160,8 +160,15 @@ class LabService:
         await self._stopped.wait()
 
     def request_shutdown(self) -> None:
-        """Thread-safe drain trigger (used by in-process harnesses)."""
-        if self._loop is not None:
+        """Thread-safe drain trigger (used by in-process harnesses).
+
+        A no-op once the loop has closed: a drain started by the
+        ``shutdown`` method may already have finished and let the loop
+        exit, so there is nothing left to stop.
+        """
+        if self._loop is None:
+            return
+        with contextlib.suppress(RuntimeError):  # loop closed after the drain
             self._loop.call_soon_threadsafe(self._begin_drain)
 
     def _begin_drain(self) -> None:

@@ -1,9 +1,19 @@
 """Exporters: JSON snapshot round-trip and the human summary."""
 
 import json
+from datetime import datetime, timezone
 
 from repro import obs
+from repro.obs import runmeta
 from repro.obs.export import METRICS_SCHEMA_VERSION
+
+
+class _FrozenDatetime(datetime):
+    """``datetime`` whose ``now`` never ticks, so two snapshots share a date."""
+
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 
 def _populate():
@@ -28,7 +38,10 @@ class TestJsonExport:
         assert doc["spans"][0]["name"] == "fig7"
         assert doc["spans"][0]["children"][0]["attrs"] == {"workload": "605.mcf_s"}
 
-    def test_json_round_trip(self, obs_enabled):
+    def test_json_round_trip(self, obs_enabled, monkeypatch):
+        # The meta date has one-second resolution; without a frozen clock the
+        # two snapshots below differ whenever they straddle a second boundary.
+        monkeypatch.setattr(runmeta, "datetime", _FrozenDatetime)
         _populate()
         doc = obs.snapshot(extra={"tier": "quick"})
         restored = json.loads(json.dumps(doc))
